@@ -63,12 +63,13 @@ class Estimate:
         return Estimate(mean, math.sqrt(var / n), n, seed)
 
     def merge(self, other: "Estimate") -> "Estimate":
-        n = self.n + other.n
-        mean = (self.n * self.value + other.n * other.value) / n
-        # second moments about 0 recombine exactly
-        m2 = (self.n * (self.stderr**2 * self.n + self.value**2)
-              + other.n * (other.stderr**2 * other.n + other.value**2))
-        var = max(m2 / n - mean**2, 0.0)
+        n1, n2 = self.n, other.n
+        n = n1 + n2
+        mean = (n1 * self.value + n2 * other.value) / n
+        # pooled update: the variances about each sample's own mean plus the
+        # spread of the two means, with no cancelling difference of moments
+        var = ((n1 * n1 * self.stderr**2 + n2 * n2 * other.stderr**2) / n
+               + n1 * n2 * (self.value - other.value)**2 / n**2)
         return Estimate(mean, math.sqrt(var / n), n, self.seed)
 
     def scaled(self, lam: float) -> "Estimate":
@@ -196,7 +197,8 @@ def wos_exit_points(D: Domain, z0: np.ndarray, eps: float | None,
                     rng: RngStream) -> np.ndarray:
     if eps is None:
         eps = DEFAULT_EPS_FRAC * D.scale()
-    for z in np.atleast_1d(z0):
+    # estimators start many walkers at one point: check each point once
+    for z in np.unique(np.atleast_1d(z0)):
         if not D.contains(complex(z)):
             raise ValueError(f"start point {z} not in domain")
     gen = rng.generator()

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# rows per projection chunk in SegmentChain.nearest: keeps each points x
+# segments matrix near 2 MB for a 513-vertex hull (and cache-friendly)
+NEAREST_ROWS = 256
 
 
 class GeometryError(ValueError):
@@ -24,6 +27,11 @@ class GeometryError(ValueError):
 
 class PoleOnCircle(GeometryError):
     """The Mobius map sends this circle to a line, which is unsupported."""
+
+
+def _require_finite(*values):
+    if not all(cmath.isfinite(complex(v)) for v in values):
+        raise GeometryError("geometry parameters must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +186,7 @@ class Circle(CompactSet):
     radius: float
 
     def __post_init__(self):
+        _require_finite(self.center, self.radius)
         if self.radius <= 0:
             raise GeometryError("circle radius must be positive")
 
@@ -313,6 +322,7 @@ class ClosedDisk(CompactSet):
     radius: float
 
     def __post_init__(self):
+        _require_finite(self.center, self.radius)
         if self.radius <= 0:
             raise GeometryError("disk radius must be positive")
 
@@ -367,6 +377,7 @@ class Segment(CompactSet):
     b: complex
 
     def __post_init__(self):
+        _require_finite(self.a, self.b)
         if self.a == self.b:
             raise GeometryError("degenerate segment")
 
@@ -466,12 +477,17 @@ class SegmentChain(CompactSet):
         return out
 
     def nearest(self, z):
+        # project in fixed-size row chunks so memory stays bounded whatever
+        # the batch size; each row's argmin is independent of the chunking
         z = np.asarray(z, dtype=complex)
-        zz = z[..., None]
-        proj = _seg_project(zz, self._a, self._b)
-        d = np.abs(zz - proj)
-        idx = d.argmin(axis=-1)
-        return np.take_along_axis(proj, idx[..., None], axis=-1)[..., 0]
+        flat = z.ravel()
+        out = np.empty_like(flat)
+        for i in range(0, flat.size, NEAREST_ROWS):
+            zz = flat[i:i + NEAREST_ROWS, None]
+            proj = _seg_project(zz, self._a, self._b)
+            k = np.abs(zz - proj).argmin(axis=-1)
+            out[i:i + NEAREST_ROWS] = proj[np.arange(k.size), k]
+        return out.reshape(z.shape)
 
     def radial_range(self):
         r = np.abs(self.vertices)
@@ -666,6 +682,7 @@ class Disk(Domain):
     radius: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self.center, self.radius)
         if self.radius <= 0:
             raise GeometryError("radius must be positive")
 
@@ -687,6 +704,7 @@ class ExteriorDisk(Domain):
     radius: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self.center, self.radius)
         if self.radius <= 0:
             raise GeometryError("radius must be positive")
 
@@ -707,6 +725,7 @@ class Annulus(Domain):
     center: complex = 0j
 
     def __post_init__(self):
+        _require_finite(self.r, self.R, self.center)
         if not (0 < self.r < self.R):
             raise GeometryError("annulus needs 0 < r < R")
 
@@ -878,8 +897,8 @@ def parse_geometry(text: str):
 
 def parse_point(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise GeometryError(f"bad point literal: {text!r}")
+    if len(parts) not in (1, 2):
+        raise GeometryError(f"bad point literal: {text!r}")
+    z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    _require_finite(z)
+    return z

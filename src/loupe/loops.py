@@ -129,6 +129,12 @@ def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hat, gen,
     the domain, marks targets on first touch, and returns per-root arrays
     (mean payoff, payoff variance) where payoff already includes the pi/eps
     normalization of the bubble density.
+
+    Each step makes one distance pass over the live walkers: dist_wos of
+    every absorber, and of every target for the walkers that have not hit
+    it yet, is evaluated once, classifies arrivals, and then gives the jump
+    radius of the walkers still alive (with the targets they hit on this
+    step masked out).
     """
     k = len(targets)
     nr = len(roots)
@@ -157,16 +163,24 @@ def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hat, gen,
         idx = np.flatnonzero(alive)
         za = z[idx]
         d_close = np.abs(np.abs(za) - s)
+        d_tgt = []
+        for j, t in enumerate(targets):
+            # a target already hit no longer bounds the walk: skip its query
+            todo = ~hit[idx, j]
+            if todo.all():
+                dt = t.dist_wos(za, wos_eps)
+            else:
+                dt = np.full(idx.size, np.inf)
+                dt[todo] = t.dist_wos(za[todo], wos_eps)
+            d_tgt.append(dt)
+        d_abs = [a.dist_wos(za, wos_eps) for a in absorbers]
         dmin = d_close.copy()
         code = np.zeros(idx.size, dtype=int)  # 0 closure, 1.. targets, -1 abs
-        for j, t in enumerate(targets):
-            dt = t.dist_wos(za, wos_eps)
-            dt[hit[idx, j]] = np.inf
+        for j, dt in enumerate(d_tgt):
             better = dt < dmin
             dmin[better] = dt[better]
             code[better] = j + 1
-        for a in absorbers:
-            da = a.dist_wos(za, wos_eps)
+        for da in d_abs:
             better = da < dmin
             dmin[better] = da[better]
             code[better] = -1
@@ -204,16 +218,17 @@ def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hat, gen,
                         payoff[fin] = _kernel_disk(W, root_rep[fin], s)
                     alive[fin] = False
             alive[ia[ca == -1]] = False
-        idx = np.flatnonzero(alive)
-        if idx.size:
+        keep = alive[idx]
+        if np.any(keep):
+            idx = idx[keep]
             za = z[idx]
-            r = np.abs(np.abs(za) - s)
-            for j, t in enumerate(targets):
-                dt = t.dist_wos(za, wos_eps)
+            r = d_close[keep]
+            for j, dt in enumerate(d_tgt):
+                dt = dt[keep]
                 dt[hit[idx, j]] = np.inf
                 r = np.minimum(r, dt)
-            for a in absorbers:
-                r = np.minimum(r, a.dist_wos(za, wos_eps))
+            for da in d_abs:
+                r = np.minimum(r, da[keep])
             if family == "exterior":
                 r = np.minimum(r, 10.0 * np.abs(za))
             th = gen.uniform(0.0, TWO_PI, size=idx.size)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -119,10 +120,17 @@ def cache_store(record: ResultRecord) -> str | None:
     path = os.path.join(root, record.config_digest + ".json")
     if os.path.exists(path):
         return path
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(record.cache_json())
-    os.replace(tmp, path)
+    # a unique temp file per writer, so concurrent stores of one config
+    # never share a partial file; os.replace keeps the final step atomic
+    fd, tmp = tempfile.mkstemp(prefix=record.config_digest + ".",
+                               suffix=".tmp", dir=root)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(record.cache_json())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     with open(os.path.join(root, "index.jsonl"), "a", encoding="utf-8") as fh:
         fh.write(canonical_json({"digest": record.config_digest,
                                  "command": record.command,

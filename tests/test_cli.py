@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import threading
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +83,36 @@ class TestRecords:
         # stored under the old digest but hashing the tampered config differs
         with pytest.warns(CorruptRecord):
             assert cache_lookup({"n": 3}) is None
+
+    def test_concurrent_stores_leave_one_record(self, cache, monkeypatch):
+        rec = ResultRecord({"n": 5}, "demo", {"v": [1.0, 2.0]}, 0.5)
+        # both writers finish their temp file before either renames it
+        both_written = threading.Barrier(2, timeout=10)
+        replace = records.os.replace
+
+        def replace_after_both(src, dst):
+            both_written.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(records.os, "replace", replace_after_both)
+        errors = []
+
+        def store():
+            try:
+                cache_store(rec)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert sorted(p.name for p in cache.glob("*.json")) == [
+            rec.config_digest + ".json"]
+        assert list(cache.glob("*.tmp")) == []
+        assert cache_lookup({"n": 5}).payload == rec.payload
 
     def test_no_cache_dir_is_a_noop(self, monkeypatch):
         monkeypatch.delenv(records.CACHE_ENV, raising=False)
@@ -217,6 +248,16 @@ class TestExitCodes:
         code = self._run_main(monkeypatch, HARM[:2] + ["circle(0,0,1)"]
                               + HARM[3:])
         assert code == 2
+
+    @pytest.mark.parametrize("option,literal", [
+        ("--domain", "disk(0,0,inf)"), ("--target", "circle(0,0,nan)"),
+        ("--z", "nan")])
+    def test_non_finite_literal_is_config_error(self, monkeypatch, option,
+                                                literal):
+        argv = ["harmonic", "--domain", "disk(0,0,2)", "--z", "0.5",
+                "--target", "circle(0,0,1)", "--n", "1000", "--seed", "1"]
+        argv[argv.index(option) + 1] = literal
+        assert self._run_main(monkeypatch, argv) == 2
 
     def test_wrong_kind_literal_is_config_error(self, monkeypatch):
         # a domain literal where a compact set is required

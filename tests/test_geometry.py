@@ -237,6 +237,37 @@ class TestLiterals:
         with pytest.raises(GeometryError):
             parse_point("1,2,3")
 
+    @given(st.sampled_from([("circle", 3), ("closed_disk", 3),
+                            ("segment", 4), ("disk", 3), ("exterior", 3),
+                            ("annulus", 2)]).flatmap(
+        lambda na: st.tuples(
+            st.just(na[0]),
+            st.lists(st.floats(-10.0, 10.0), min_size=na[1], max_size=na[1]),
+            st.integers(0, na[1] - 1),
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))))
+    def test_non_finite_literals_rejected(self, case):
+        name, args, pos, bad = case
+        text = [repr(a) for a in args]
+        text[pos] = bad
+        with pytest.raises(GeometryError):
+            parse_geometry(f"{name}({','.join(text)})")
+
+    @pytest.mark.parametrize("make", [
+        lambda x: Circle(0j, x), lambda x: Circle(complex(x, 0.0), 1.0),
+        lambda x: ClosedDisk(0j, x), lambda x: Segment(0j, complex(0.0, x)),
+        lambda x: Disk(0j, x), lambda x: ExteriorDisk(complex(x, 0.0), 1.0),
+        lambda x: Annulus(1.0, x), lambda x: Annulus(0.5, 2.0, complex(x, 0.0)),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructors_reject_non_finite(self, make, bad):
+        with pytest.raises(GeometryError):
+            make(bad)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1,nan", "-inf,0"])
+    def test_non_finite_point_rejected(self, text):
+        with pytest.raises(GeometryError):
+            parse_point(text)
+
     def test_distance_to_set_requires_finite(self):
         with pytest.raises(GeometryError):
             distance_to_set(INFINITY, Circle(0j, 1.0))
