@@ -186,9 +186,12 @@ def bubble(radius, z, domain, domain2, n, seed, out):
     """Brownian bubble masses: rho(R) or the difference mass m(z; D, D~)."""
     if radius is not None:
         config = {"command": "bubble", "r": radius, "seed": seed}
-        _emit("bubble", config,
-              lambda: {"rho": {"value": rho(radius).value,
-                               "error_band": rho(radius).error}},
+
+        def compute():
+            m = rho(radius)
+            return {"rho": {"value": m.value, "error_band": m.error}}
+
+        _emit("bubble", config, compute,
               lambda p: f"rho({radius:g}) = {p['rho']['value']:.6g}", out)
         return
     if not (z and domain and domain2):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Annulus, ClosedDisk, CompactSet, Disk, Domain,
-                       DomainMinusSet, ExteriorDisk, HalfPlane,
-                       HullComplement, as_complex)
+from .geometry import (ClosedDisk, CompactSet, Domain, DomainMinusSet,
+                       ExteriorDisk, HullComplement, as_complex)
 
 DEFAULT_EPS_FRAC = 1e-6
 STEP_CAP = 10_000_000
@@ -173,24 +172,17 @@ def wos_exit_batch(features: list[CompactSet], z0: np.ndarray, eps: float,
         steps += 1
         if steps > step_cap:
             raise StepLimitExceeded(f"walk exceeded {step_cap} steps")
-    # project survivors to the nearest feature point
-    d_best = features[0].dist(z)
+    # project survivors to the nearest feature point: one projection per
+    # feature gives both the point and its distance
     p_best = features[0].nearest(z)
+    d_best = np.abs(z - p_best)
     for f in features[1:]:
-        df = f.dist(z)
         pf = f.nearest(z)
+        df = np.abs(z - pf)
         closer = df < d_best
         p_best = np.where(closer, pf, p_best)
         d_best = np.minimum(d_best, df)
     return p_best
-
-
-def wos_exit_sample(D: Domain, z, eps: float | None = None,
-                    rng: RngStream | None = None) -> complex:
-    """One exit point of Brownian motion from D started at z, within O(eps)
-    boundary-projection bias, projected onto the boundary."""
-    pts = wos_exit_points(D, np.asarray([as_complex(z)]), eps, rng or RngStream(0))
-    return complex(pts[0])
 
 
 def wos_exit_points(D: Domain, z0: np.ndarray, eps: float | None,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,108 +212,6 @@ class Circle(CompactSet):
 
     def scaled(self, lam):
         return Circle(self.center * lam, self.radius * lam)
-
-    def cut_angles_outside(self, s: float):
-        """Angular intervals of this circle lying at radius >= s from 0.
-
-        Returns None for the full circle, [] for empty, else a list of
-        (a0, a1) intervals with a1 > a0.
-        """
-        return self._cut_angles(s, outside=True)
-
-    def cut_angles_inside(self, s: float):
-        """Angular intervals lying at radius <= s from 0."""
-        return self._cut_angles(s, outside=False)
-
-    def _cut_angles(self, s, outside):
-        d = abs(self.center)
-        rmin, rmax = self.radial_range()
-        if outside:
-            if rmin >= s:
-                return None
-            if rmax <= s:
-                return []
-        else:
-            if rmax <= s:
-                return None
-            if rmin >= s:
-                return []
-        # |c + a e^{i phi}| = s  =>  cos(phi - arg(-c)) = (d^2 + a^2 - s^2)/(2 a d)
-        a = self.radius
-        x = (d * d + a * a - s * s) / (2.0 * a * d)
-        x = min(1.0, max(-1.0, x))
-        half = math.acos(x)
-        base = cmath.phase(-self.center)
-        # points with angle within +-half of `base` are the ones closest to 0
-        if outside:
-            return [(base + half, base + TWO_PI - half)]
-        return [(base - half, base + half)]
-
-
-@dataclass(frozen=True)
-class Arc(CompactSet):
-    """Arc of the circle |z - center| = radius with angle in [a0, a1]."""
-
-    center: complex
-    radius: float
-    a0: float
-    a1: float
-
-    def __post_init__(self):
-        if self.radius <= 0 or not self.a1 > self.a0:
-            raise GeometryError("bad arc parameters")
-
-    def _in_arc(self, phi):
-        rel = np.mod(phi - self.a0, TWO_PI)
-        return rel <= (self.a1 - self.a0)
-
-    def endpoints(self):
-        return (self.center + self.radius * cmath.exp(1j * self.a0),
-                self.center + self.radius * cmath.exp(1j * self.a1))
-
-    def dist(self, z):
-        v = z - self.center
-        phi = np.angle(v)
-        on_arc = self._in_arc(phi)
-        d_circ = np.abs(np.abs(v) - self.radius)
-        e0, e1 = self.endpoints()
-        d_end = np.minimum(np.abs(z - e0), np.abs(z - e1))
-        return np.where(on_arc, d_circ, d_end)
-
-    def nearest(self, z):
-        v = z - self.center
-        r = np.abs(v)
-        v = np.where(r == 0, 1.0 + 0j, v / np.where(r == 0, 1.0, r))
-        p_circ = self.center + self.radius * v
-        phi = np.angle(z - self.center)
-        on_arc = self._in_arc(phi)
-        e0, e1 = self.endpoints()
-        p_end = np.where(np.abs(z - e0) <= np.abs(z - e1), e0, e1)
-        return np.where(on_arc, p_circ, p_end)
-
-    def radial_range(self):
-        # |z| over the arc is extremal at endpoints or where the arc crosses
-        # the ray through the circle center
-        cands = list(self.endpoints())
-        d = abs(self.center)
-        if d == 0:
-            return self.radius, self.radius
-        base = cmath.phase(self.center)
-        for phi in (base, base + math.pi):
-            if bool(self._in_arc(np.asarray(phi))):
-                cands.append(self.center + self.radius * cmath.exp(1j * phi))
-        r = [abs(p) for p in cands]
-        return min(r), max(r)
-
-    def sample_points(self, n):
-        th = np.linspace(self.a0, self.a1, n)
-        return self.center + self.radius * np.exp(1j * th)
-
-    def translated(self, w):
-        return Arc(self.center + w, self.radius, self.a0, self.a1)
-
-    def scaled(self, lam):
-        return Arc(self.center * lam, self.radius * lam, self.a0, self.a1)
 
 
 @dataclass(frozen=True)
@@ -527,7 +425,6 @@ class DiscretizedHull(SegmentChain):
 
     def __init__(self, curve: "PolyCurve"):
         super().__init__(curve.vertices)
-        self.curve = curve
 
 
 class UnionSet(CompactSet):
@@ -575,11 +472,6 @@ class UnionSet(CompactSet):
 
     def scaled(self, lam):
         return UnionSet([p.scaled(lam) for p in self.parts])
-
-
-def distance_to_set(z, V: CompactSet) -> float:
-    """Euclidean distance from a finite point to a compact set."""
-    return float(V.dist(np.asarray([as_complex(z)], dtype=complex))[0])
 
 
 def mobius_image_circle(f: MobiusMap, c: Circle) -> Circle:

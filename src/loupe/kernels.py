@@ -74,24 +74,11 @@ def exc_annulus(which: str, r: float, R: float) -> float:
     raise DomainViolation("which must be 'inner-point' or 'outer-point'")
 
 
-def boundary_poisson_annulus_asym(R: float) -> tuple[float, float]:
-    """Leading boundary-to-boundary kernel of the annulus 1 < |z| < R between
-    a point on C_1 and a point on C_R, plus an error band.
-
-    Returns (1/(2 pi R log R), 4/R^2).  The band constant 4 is a frozen
-    implementation choice; the decay rate is what downstream code relies on.
-    """
-    if R < 2:
-        raise DomainViolation("asymptotic requires R >= 2")
-    return 1.0 / (TWO_PI * R * math.log(R)), 4.0 / R**2
-
-
 def boundary_poisson_annulus(R: float, theta: float, terms: int = 64) -> float:
     """Boundary-to-boundary kernel h_{dA}(1, R e^{i theta}) of the annulus
     1 < |z| < R, via its rapidly converging Fourier series.
 
     Normalized so that R * Int_0^{2pi} h dtheta = exc(1 -> C_R) = 1/log R.
-    Used only as a cross-check for the asymptotic form.
     """
     if R <= 1:
         raise DomainViolation("need R > 1")

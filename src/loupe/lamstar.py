@@ -1,8 +1,11 @@
 """The normalized loop measure Lambda*.
 
 Lambda*(V1, V2) is the limit of Lambda(V1, V2; O_r) - log log(1/r) as the
-removed disk shrinks.  The sequence is evaluated on a geometric r-schedule
-with one shared radial node grid and extrapolated against a C/log(1/r) tail.
+removed disk shrinks.  The sequence is one `loops.loop_mass_profile` over a
+geometric r-schedule (one shared radial node grid), and `_extrapolate` fits
+it against a C/log(1/r) tail.  The growing disks D_R are the removal center
+at infinity: the same profile in the disk family, extrapolated in r = 1/R
+through the same `_extrapolate` and its TailNotDecaying checks.
 Center-independence (finite centers and the growing-disk family) and Mobius
 invariance are exposed as measurable gaps.
 """
@@ -13,14 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate  # noqa: F401  (bench/tracing.py patches it)
 
-from .engine import Estimate, RngStream, capacity_estimate, conformal_radius
+from .engine import Estimate, capacity_estimate, conformal_radius
 from .geometry import (Circle, ClosedDisk, CompactSet, Disk, Domain,
-                       ExteriorDisk, HullComplement, INFINITY, MobiusMap,
+                       ExteriorDisk, HullComplement, MobiusMap,
                        PolylineJordan, is_infinity, mobius_image_set)
-from .loops import (LoopMassQuery, _concentric_radii, _node_mass, loop_mass,
-                    loop_mass_profile, rho_exact)
+from .loops import LoopMassQuery, loop_mass, loop_mass_profile
 
 
 class TailNotDecaying(RuntimeError):
@@ -141,75 +143,6 @@ def lambda_star_sets(sets, seed: int = 0, r_schedule=None,
 # centered families
 
 
-def _disk_profile(sets, R_schedule, seed, d_log=0.25, n_theta=16,
-                  n_per_node=4096, eps_hats=(0.2, 0.1), force_mc=False):
-    """Lambda(sets; D_R) for an increasing schedule of disk radii, via the
-    furthest-root decomposition (mirror of the exterior family)."""
-    R_schedule = sorted(float(R) for R in R_schedule)
-    sets = list(sets)
-    if not force_mc:
-        radii = _concentric_radii(sets)
-        if radii is not None:
-            a_min, a_max = min(radii), max(radii)
-            ests = []
-            for R in R_schedule:
-                if R <= a_max:
-                    ests.append(Estimate(0.0, 0.0, 0, seed))
-                    continue
-                val, err = integrate.quad(
-                    lambda u: 2.0 * rho_exact(math.exp(u) / a_min),
-                    math.log(a_max), math.log(R), limit=200)
-                ests.append(Estimate(val, err, 0, seed))
-            cov = np.diag([e.stderr**2 for e in ests])
-            return ests, cov
-    s_edge = max(V.radial_range()[0] for V in sets)
-    lo = math.log(s_edge)
-    marks = [math.log(R) for R in R_schedule if R > s_edge]
-    if not marks:
-        raise ValueError("schedule entirely inside the sets")
-    edges = [lo] + marks
-    us = [lo]
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = max(int(math.ceil((b - a) / d_log)), 1)
-        us.extend(np.linspace(a, b, m + 1)[1:])
-    us = np.asarray(us)
-    rng = RngStream(seed)
-    vals = np.zeros(len(us))
-    vrs = np.zeros(len(us))
-    for i, u in enumerate(us):
-        S = math.exp(u)
-        mval, v = _node_mass(S, n_theta, sets, [], n_per_node, eps_hats,
-                             rng.child(i), family="disk")
-        vals[i] = mval
-        vrs[i] = v
-    ests = []
-    cvars = np.zeros(len(us))
-    for R in R_schedule:
-        hi = math.log(R)
-        inside = us <= hi + 1e-12
-        uu = us[inside]
-        order = np.argsort(uu)
-        uu = uu[order]
-        vv = vals[inside][order]
-        gg = vrs[inside][order]
-        wts = np.zeros(len(uu))
-        wts[:-1] += 0.5 * np.diff(uu)
-        wts[1:] += 0.5 * np.diff(uu)
-        c = 2.0 * wts * np.exp(2.0 * uu)
-        ests.append(Estimate(float(np.sum(c * vv)),
-                             math.sqrt(float(np.sum(c * c * gg))),
-                             n_per_node * len(uu), seed))
-        cvars[np.flatnonzero(inside)[order]] = c * c * gg
-    n = len(R_schedule)
-    cov = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            hi = math.log(R_schedule[j])  # shallower (smaller R)
-            inside = us <= hi + 1e-12
-            cov[j, k] = cov[k, j] = float(np.sum(cvars[inside]))
-    return ests, cov
-
-
 def lambda_star_centered(V1: CompactSet, V2: CompactSet, center,
                          seed: int = 0, r_schedule=None,
                          fit_points: int = 4,
@@ -218,8 +151,7 @@ def lambda_star_centered(V1: CompactSet, V2: CompactSet, center,
     (finite point) or through growing disks D_R (center INFINITY); the limit
     is center-independent."""
     if is_infinity(center):
-        sets = [V1, V2]
-        Rmin = max(V.radial_range()[1] for V in sets)
+        Rmin = max(V.radial_range()[1] for V in (V1, V2))
         if r_schedule is None:
             depth = 8
             Rs = [math.exp(j) for j in range(1, depth + 1)]
@@ -228,17 +160,9 @@ def lambda_star_centered(V1: CompactSet, V2: CompactSet, center,
         Rs = sorted(R for R in Rs if R > Rmin)
         if len(Rs) < 2:
             raise ValueError("schedule too shallow for these sets")
-        ests, cov = _disk_profile(sets, Rs, seed, **profile_kwargs)
-        xs = [math.log(R) for R in Rs]
-        renorm = [e.value - math.log(x) for e, x in zip(ests, xs)]
-        errs = [e.stderr for e in ests]
-        a, a_err, rms, slope, C = _fit_tail(xs, renorm, np.asarray(cov),
-                                            fit_points)
-        model_err = abs(C) / xs[-1] ** 2
-        table = tuple((1.0 / R, v, e) for R, v, e in zip(Rs, renorm, errs))
-        return ExtrapolationResult(
-            a, math.sqrt(a_err ** 2 + rms ** 2 + model_err ** 2), slope,
-            table)
+        ests, cov = loop_mass_profile([V1, V2], Rs, seed, family="disk",
+                                      **profile_kwargs)
+        return _extrapolate([1.0 / R for R in Rs], ests, cov, fit_points)
     z0 = complex(center)
     # the loop measure is translation invariant: shrink disks around z0 by
     # working with the translated sets around the origin

@@ -6,28 +6,31 @@ The radial decomposition roots every loop at its closest point to the origin
     Lambda = (1/pi) Int Int m(s e^{i theta}) s ds dtheta
 
 with m the bubble mass of loops rooted on the circle C_s that stay on the
-root's far side, hit every listed set, and avoid any removed set.  Nodes are
-estimated by record-and-drop walks: the walk runs in the root circle's
-complement, marks each target on first touch, and at the moment the last
-target is marked the closing-leg density at the root is either the exact
-one-circle boundary kernel (pure domains) or a small-arc frequency (domains
-with extra removed sets).  Concentric-circle configurations collapse to an
-exact quadrature of closed-form kernels (the fast path), which doubles as
-the oracle for the Monte Carlo route.
+root's far side, hit every listed set, and avoid any removed set.  One
+integrator, `loop_mass_profile`, evaluates this integral for a list of limit
+radii of one family on a single node grid, with a covariance between the
+limits; `loop_mass`, `loop_mass_circles` and `dyadic_loop_mass` read from it,
+as do the Lambda* extrapolations in `lamstar`.  Nodes are estimated by
+record-and-drop walks: the walk runs in the root circle's complement, marks
+each target on first touch, and at the moment the last target is marked the
+closing-leg density at the root is either the exact one-circle boundary
+kernel (pure domains) or a small-arc frequency (domains with extra removed
+sets).  Concentric-circle configurations collapse to an exact quadrature of
+closed-form kernels (the fast path), which doubles as the oracle for the
+Monte Carlo route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from .engine import Estimate, RngStream, _circle_harmonic_sample
-from .geometry import (Annulus, Circle, ClosedDisk, CompactSet, Disk, Domain,
-                       DomainMinusSet, ExteriorDisk, HullComplement,
-                       UnionSet, as_complex)
+from .geometry import (Circle, ClosedDisk, CompactSet, Disk, Domain,
+                       DomainMinusSet, ExteriorDisk, HullComplement)
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,36 +78,17 @@ def _concentric_radii(sets, tol: float = 1e-12):
 
 def loop_mass_circles(s: float, R: float) -> Estimate:
     """Mass of loops outside the disk of radius s that hit both C_1 and C_R,
-    by adaptive quadrature of 2 Int_s^1 rho(R/r) dr/r.
+    by adaptive quadrature of the exact radial profile.
 
     Exact up to quadrature error since rho is summed in closed form; the
     limit closed form log[log(R/s)/log R] holds up to O(1/(R log R)).
     """
     if not (0 < s <= 1 < R):
         raise ValueError("need 0 < s <= 1 < R")
-    if s == 1.0:
-        return Estimate(0.0, 0.0, 0, 0)
-    val, err = integrate.quad(lambda u: 2.0 * rho_exact(R * math.exp(u)),
-                              0.0, math.log(1.0 / s), limit=200)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureNonconvergent(f"quad error {err:.2g}")
-    return Estimate(val, err, 0, 0)
-
-
-def _concentric_profile(radii, r_schedule):
-    """Exact Lambda(sets; O_r) for origin-centered circle/disk sets at every
-    r in the schedule, via the collapsed radial integral."""
-    a_min, a_max = min(radii), max(radii)
-    out = []
-    for r in r_schedule:
-        if r >= a_min:
-            out.append(Estimate(0.0, 0.0, 0, 0))
-            continue
-        val, err = integrate.quad(
-            lambda u: 2.0 * rho_exact(a_max * math.exp(-u)),
-            math.log(r), math.log(a_min), limit=200)
-        out.append(Estimate(val, err, 0, 0))
-    return out
+    (est,), _ = loop_mass_profile([Circle(0j, 1.0), Circle(0j, R)], [s], 0)
+    if est.stderr > 1e-8 * max(1.0, abs(est.value)):
+        raise QuadratureNonconvergent(f"quad error {est.stderr:.2g}")
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -317,96 +301,96 @@ def _split_domain(D: Domain):
 
 
 def loop_mass(q: LoopMassQuery, seed: int) -> Estimate:
-    """Mass of loops in q.domain hitting every set in q.sets."""
+    """Mass of loops in q.domain hitting every set in q.sets: a one-limit
+    radial profile."""
     family, limit, removed = _split_domain(q.domain)
     sets = list(q.sets)
-    if not removed and not q.force_mc:
-        radii = _concentric_radii(sets)
-        if radii is not None and family == "exterior" and limit > 0:
-            if limit >= min(radii):
-                return Estimate(0.0, 0.0, 0, seed)
-            prof = _concentric_profile(radii, [limit])
-            return prof[0]
     s_edge = _radial_extent(sets, family)
-    if family == "exterior":
-        if limit >= s_edge:
-            return Estimate(0.0, 0.0, 0, seed)
-        lo, hi = math.log(max(limit, 1e-300)), math.log(s_edge)
-        if limit == 0.0:
-            # whole-plane-minus-removed-sets queries: truncate six e-folds
-            # below the sets' reach; the discarded tail is huge-loop mass
-            # controlled by the removed sets
-            lo = hi - 6.0
-    else:
-        if limit <= s_edge:
-            return Estimate(0.0, 0.0, 0, seed)
-        lo, hi = math.log(s_edge), math.log(limit)
-    n_seg = max(int(math.ceil((hi - lo) / q.d_log)), 2)
-    us = np.linspace(lo, hi, n_seg + 1)
-    w = np.full(n_seg + 1, us[1] - us[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    rng = RngStream(seed)
-    total, var = 0.0, 0.0
-    for i, u in enumerate(us):
-        s = math.exp(u)
-        m, v = _node_mass(s, q.n_theta, sets, removed, q.n_per_node,
-                          q.eps_hats, rng.child(i), family=family)
-        c = 2.0 * w[i] * s * s
-        total += c * m
-        var += c * c * v
-    return Estimate(total, math.sqrt(var), q.n_per_node * (n_seg + 1), seed)
+    if limit >= s_edge if family == "exterior" else limit <= s_edge:
+        return Estimate(0.0, 0.0, 0, seed)
+    if limit == 0.0:
+        # whole-plane-minus-removed-sets queries: truncate six e-folds
+        # below the sets' reach; the discarded tail is huge-loop mass
+        # controlled by the removed sets
+        limit = s_edge * math.exp(-6.0)
+    # a disk-family loop mass stays on the Monte Carlo route
+    (est,), _ = loop_mass_profile(
+        sets, [limit], seed, family=family, removed=removed, d_log=q.d_log,
+        n_theta=q.n_theta, n_per_node=q.n_per_node, eps_hats=q.eps_hats,
+        force_mc=q.force_mc or family == "disk")
+    return est
 
 
-def loop_mass_profile(sets, r_schedule, seed: int, d_log: float = 0.25,
-                      n_theta: int = 16, n_per_node: int = 4096,
-                      eps_hats=(0.2, 0.1), force_mc: bool = False):
-    """Lambda(sets; O_r) for every r in a decreasing schedule, sharing one
-    radial node grid so schedule differences carry no extra noise.
+def loop_mass_profile(sets, limits, seed: int, family: str = "exterior",
+                      removed=(), d_log: float = 0.25, n_theta: int = 16,
+                      n_per_node: int = 4096, eps_hats=(0.2, 0.1),
+                      force_mc: bool = False):
+    """Lambda(sets; D) for every limit radius of one domain family: O_r
+    minus `removed` (family 'exterior') or D_R minus `removed` (family
+    'disk').  Every limit shares one radial node grid that starts at the
+    sets' edge, so differences between limits carry no extra noise.
 
-    Returns (estimates, covariance matrix).  Concentric circle/disk
-    configurations use the exact quadrature fast path unless force_mc.
+    Returns (estimates, covariance matrix), ordered from the limit nearest
+    the sets outward.  Concentric circle/disk sets with nothing removed are
+    integrated exactly unless force_mc; exact values carry n = 0, seed 0
+    and the quadrature error as stderr.
     """
-    r_schedule = sorted((float(r) for r in r_schedule), reverse=True)
+    exterior = family == "exterior"
+    limits = sorted((float(r) for r in limits), reverse=exterior)
     sets = list(sets)
-    if not force_mc:
-        radii = _concentric_radii(sets)
-        if radii is not None:
-            ests = _concentric_profile(radii, r_schedule)
-            cov = np.diag([e.stderr**2 for e in ests])
-            return ests, cov
-    s_edge = _radial_extent(sets, "exterior")
-    marks = [math.log(r) for r in r_schedule if r < s_edge]
+    radii = None if removed or force_mc else _concentric_radii(sets)
+    if radii is not None:
+        a_min, a_max = min(radii), max(radii)
+        if exterior:
+            edge = a_min
+
+            def mass(u):
+                return 2.0 * rho_exact(a_max * math.exp(-u))
+        else:
+            edge = a_max
+
+            def mass(u):
+                return 2.0 * rho_exact(math.exp(u) / a_min)
+        ests = []
+        for r in limits:
+            if r >= edge if exterior else r <= edge:
+                ests.append(Estimate(0.0, 0.0, 0, 0))
+                continue
+            lo, hi = sorted((math.log(r), math.log(edge)))
+            val, err = integrate.quad(mass, lo, hi, limit=200)
+            ests.append(Estimate(val, err, 0, 0))
+        return ests, np.diag([e.stderr**2 for e in ests])
+    s_edge = _radial_extent(sets, family)
+    marks = [math.log(r) for r in limits
+             if (r < s_edge if exterior else r > s_edge)]
     if not marks:
-        raise ValueError("schedule entirely outside the sets' radial reach")
-    hi = math.log(s_edge)
-    # node grid: union of refined segments between consecutive marks
-    edges = [hi] + marks
-    us = [hi]
+        raise ValueError("limits entirely outside the sets' radial reach")
+    # node grid: the edge, then refined segments between consecutive marks,
+    # at least two trapezoid segments in all
+    edges = [math.log(s_edge)] + marks
+    least = 2 if len(marks) == 1 else 1
+    us = edges[:1]
     for a, b in zip(edges[:-1], edges[1:]):
-        m = max(int(math.ceil((a - b) / d_log)), 1)
-        seg = np.linspace(a, b, m + 1)
-        us.extend(seg[1:])
+        m = max(int(math.ceil(abs(b - a) / d_log)), least)
+        us.extend(np.linspace(a, b, m + 1)[1:])
     us = np.asarray(us)
     rng = RngStream(seed)
     vals = np.zeros(len(us))
-    vars = np.zeros(len(us))
+    variances = np.zeros(len(us))
     for i, u in enumerate(us):
-        s = math.exp(u)
-        mval, v = _node_mass(s, n_theta, sets, [], n_per_node, eps_hats,
-                             rng.child(i), family="exterior")
-        vals[i] = mval
-        vars[i] = v
-    ests = []
+        vals[i], variances[i] = _node_mass(
+            math.exp(u), n_theta, sets, removed, n_per_node, eps_hats,
+            rng.child(i), family=family)
+    ests, masks = [], []
     cvars = np.zeros(len(us))
-    for j, r in enumerate(r_schedule):
-        lo = math.log(r)
-        inside = us >= lo - 1e-12
+    for r in limits:
+        L = math.log(r)
+        inside = us >= L - 1e-12 if exterior else us <= L + 1e-12
         uu = us[inside]
         order = np.argsort(uu)
         uu = uu[order]
         vv = vals[inside][order]
-        gg = vars[inside][order]
+        gg = variances[inside][order]
         # trapezoid weights on the (non-uniform) grid
         wts = np.zeros(len(uu))
         wts[:-1] += 0.5 * np.diff(uu)
@@ -415,17 +399,15 @@ def loop_mass_profile(sets, r_schedule, seed: int, d_log: float = 0.25,
         total = float(np.sum(c * vv))
         var = float(np.sum(c * c * gg))
         ests.append(Estimate(total, math.sqrt(var), n_per_node * len(uu), seed))
-        full = np.flatnonzero(inside)[order]
-        cvars[full] = c * c * gg
-    # covariance: schedules share nodes, so cov(j,k) = variance of the
-    # shallower schedule's nodes
-    n = len(r_schedule)
+        masks.append(inside)
+        cvars[np.flatnonzero(inside)[order]] = c * c * gg
+    # covariance: limits share nodes, so cov(j,k) = variance of the nodes of
+    # the limit nearer the sets
+    n = len(limits)
     cov = np.zeros((n, n))
     for j in range(n):
         for kk in range(j, n):
-            lo = math.log(r_schedule[j])  # shallower (larger r)
-            inside = us >= lo - 1e-12
-            cov[j, kk] = cov[kk, j] = float(np.sum(cvars[inside]))
+            cov[j, kk] = cov[kk, j] = float(np.sum(cvars[masks[j]]))
     return ests, cov
 
 
@@ -454,7 +436,9 @@ def dyadic_loop_mass(V1: CompactSet, V2: CompactSet, D: Domain, j_range,
     """Lambda(V1, V2; D) summed over dyadic shells: loops are classified by
     the integer shell exp(j-1) <= closest-radius < exp(j) they start in.
 
-    Raises ShellRangeInsufficient when the requested shells do not cover the
+    The shells' edges are the limits of one Monte Carlo profile, so the
+    shells are differences within it and their sum is its innermost entry.
+    Raises ShellRangeInsufficient when the requested shells do not tile the
     sets' radial reach within the domain.
     """
     kw = dict(query_kwargs or {})
@@ -462,41 +446,18 @@ def dyadic_loop_mass(V1: CompactSet, V2: CompactSet, D: Domain, j_range,
     if family != "exterior" or removed:
         raise ValueError("dyadic splitting implemented for exterior domains")
     s_edge = _radial_extent([V1, V2], "exterior")
-    js = sorted(int(j) for j in j_range)
+    js = sorted({int(j) for j in j_range})
     lo_edge = math.exp(js[0] - 1)
     hi_edge = math.exp(js[-1])
     if lo_edge > limit * (1 + 1e-9) or hi_edge < s_edge * (1 - 1e-9):
         raise ShellRangeInsufficient(
             f"shells cover [{lo_edge:.3g}, {hi_edge:.3g}] but need "
             f"[{limit:.3g}, {s_edge:.3g}]")
-    total = None
-    for j in js:
-        a = max(math.exp(j - 1), limit)
-        b = min(math.exp(j), s_edge)
-        if b <= a:
-            continue
-        part = _band_loop_mass([V1, V2], a, b, seed + j, **kw)
-        total = part if total is None else total.plus(part)
-    return total if total is not None else Estimate(0.0, 0.0, 0, seed)
-
-
-def _band_loop_mass(sets, s_lo, s_hi, seed, d_log=0.25, n_theta=16,
-                    n_per_node=4096, eps_hats=(0.2, 0.1)):
-    """Mass of loops hitting all sets whose closest-to-origin radius lies in
-    [s_lo, s_hi] (one shell of the dyadic decomposition)."""
-    lo, hi = math.log(s_lo), math.log(s_hi)
-    n_seg = max(int(math.ceil((hi - lo) / d_log)), 1)
-    us = np.linspace(lo, hi, n_seg + 1)
-    w = np.full(n_seg + 1, (hi - lo) / n_seg if n_seg else 0.0)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    rng = RngStream(seed)
-    total, var = 0.0, 0.0
-    for i, u in enumerate(us):
-        s = math.exp(u)
-        m, v = _node_mass(s, n_theta, list(sets), [], n_per_node, eps_hats,
-                          rng.child(i), family="exterior")
-        c = 2.0 * w[i] * s * s
-        total += c * m
-        var += c * c * v
-    return Estimate(total, math.sqrt(var), n_per_node * (n_seg + 1), seed)
+    if js != list(range(js[0], js[-1] + 1)):
+        raise ShellRangeInsufficient(f"shells {js} leave a gap")
+    cuts = [max(math.exp(j - 1), limit) for j in js
+            if min(math.exp(j), s_edge) > max(math.exp(j - 1), limit)]
+    if not cuts:
+        return Estimate(0.0, 0.0, 0, seed)
+    ests, _ = loop_mass_profile([V1, V2], cuts, seed, force_mc=True, **kw)
+    return ests[-1]

@@ -16,8 +16,9 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 
+from . import __version__
+
 CACHE_ENV = "LOUPE_CACHE_DIR"
-VERSION = "0.1.0"
 
 
 class CorruptRecord(UserWarning):
@@ -56,7 +57,7 @@ class ResultRecord:
     command: str
     payload: dict
     wall_time: float
-    version: str = VERSION
+    version: str = __version__
     config_digest: str = field(default="")
 
     def __post_init__(self):
@@ -121,16 +122,18 @@ def cache_store(record: ResultRecord) -> str | None:
     if os.path.exists(path):
         return path
     # a unique temp file per writer, so concurrent stores of one config
-    # never share a partial file; os.replace keeps the final step atomic
+    # never share a partial file; os.link publishes it atomically and fails
+    # if the record exists, so exactly one writer publishes and indexes it
     fd, tmp = tempfile.mkstemp(prefix=record.config_digest + ".",
                                suffix=".tmp", dir=root)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(record.cache_json())
-        os.replace(tmp, path)
-    except BaseException:
+        os.link(tmp, path)
+    except FileExistsError:
+        return path
+    finally:
         os.unlink(tmp)
-        raise
     with open(os.path.join(root, "index.jsonl"), "a", encoding="utf-8") as fh:
         fh.write(canonical_json({"digest": record.config_digest,
                                  "command": record.command,

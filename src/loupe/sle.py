@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Estimate, RngStream, excursion_estimate, wos_exit_points
-from .geometry import (Circle, ClosedDisk, CompactSet, DiscretizedHull, Disk,
-                       Domain, DomainMinusSet, PolyCurve, PolylineJordan,
-                       SegmentChain, as_complex)
-from .lamstar import lambda_star
+from .geometry import (ClosedDisk, DiscretizedHull, Disk, Domain,
+                       DomainMinusSet, PolyCurve, PolylineJordan, as_complex)
+from .lamstar import _boundary_as_set, lambda_star
 
 
 class KappaOutOfRange(ValueError):
@@ -72,23 +71,6 @@ class SLEParams:
 
 def exponents(kappa: float) -> SLEParams:
     return SLEParams(float(kappa))
-
-
-@dataclass(frozen=True)
-class DrivingPath:
-    """Angles of the driving point on capacity times, with their seed."""
-
-    times: tuple
-    angles: tuple
-    seed: int
-
-    def __post_init__(self):
-        t = tuple(float(x) for x in self.times)
-        if any(t[i + 1] <= t[i] for i in range(len(t) - 1)):
-            raise ValueError("capacity grid must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "angles",
-                           tuple(float(x) for x in self.angles))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +358,6 @@ def _check_inside(hull: SLEHull, D: Domain):
         raise HullTouchesBoundary("hull is numerically on the boundary")
 
 
-def _boundary_set(D: Domain) -> CompactSet:
-    if isinstance(D, Disk):
-        return Circle(D.center, D.radius)
-    if isinstance(D, PolylineJordan):
-        return D.boundary_chain()
-    raise ValueError(f"no compact boundary set for {type(D).__name__}")
-
-
 def _image_domain(hull: SLEHull, D: Domain, n_nodes: int = 192):
     """g_t(D): region between the image of dD and the circle C_t."""
     pts, _ = _boundary_nodes(D, n_nodes)
@@ -453,7 +427,7 @@ def rn_density(hull: SLEHull, D: Domain, w, params: SLEParams | None = None,
     w = as_complex(w)
     t = hull.t_end
     K = hull.hull_set()
-    bset = _boundary_set(D)
+    bset = _boundary_as_set(D)
 
     s_est = annulus_modulus(D, K, n, seed + 1)
     # boundary difference quotients are Bernoulli trials with success

@@ -86,15 +86,19 @@ class TestRecords:
 
     def test_concurrent_stores_leave_one_record(self, cache, monkeypatch):
         rec = ResultRecord({"n": 5}, "demo", {"v": [1.0, 2.0]}, 0.5)
-        # both writers finish their temp file before either renames it
+        # both writers finish their temp file and pass the existence check
+        # before either publishes it (by os.link, or by os.replace)
         both_written = threading.Barrier(2, timeout=10)
-        replace = records.os.replace
 
-        def replace_after_both(src, dst):
-            both_written.wait()
-            replace(src, dst)
+        def after_both(publish):
+            def held(src, dst):
+                both_written.wait()
+                return publish(src, dst)
+            return held
 
-        monkeypatch.setattr(records.os, "replace", replace_after_both)
+        for name in ("link", "replace"):
+            monkeypatch.setattr(records.os, name,
+                                after_both(getattr(records.os, name)))
         errors = []
 
         def store():
@@ -107,12 +111,16 @@ class TestRecords:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+            assert not t.is_alive()
         assert errors == []
         assert sorted(p.name for p in cache.glob("*.json")) == [
             rec.config_digest + ".json"]
         assert list(cache.glob("*.tmp")) == []
         assert cache_lookup({"n": 5}).payload == rec.payload
+        index = (cache / "index.jsonl").read_text().splitlines()
+        assert [json.loads(line)["digest"] for line in index] == [
+            rec.config_digest]
 
     def test_no_cache_dir_is_a_noop(self, monkeypatch):
         monkeypatch.delenv(records.CACHE_ENV, raising=False)

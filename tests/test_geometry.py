@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loupe.geometry import (INFINITY, Annulus, Arc, Circle, ClosedDisk, Disk,
+from loupe.geometry import (INFINITY, Annulus, Circle, ClosedDisk, Disk,
                             ExteriorDisk, GeometryError, MobiusMap, PolyCurve,
                             PoleOnCircle, Segment, SegmentChain, UnionSet,
-                            circumcircle, distance_to_set, is_infinity,
+                            circumcircle, is_infinity,
                             mobius_apply, mobius_image_circle,
                             mobius_image_set, parse_geometry, parse_point)
 
@@ -113,7 +113,6 @@ class TestCircumcircle:
 
 ALL_SETS = [
     Circle(1 + 2j, 1.5),
-    Arc(0.5j, 2.0, 0.3, 2.1),
     ClosedDisk(-1 + 0j, 0.7),
     Segment(-2 + 1j, 3 - 1j),
     SegmentChain([0j, 1 + 0j, 1 + 1j, 2 + 1j]),
@@ -155,25 +154,6 @@ class TestSets:
         z = gen.normal(size=50) + 1j * gen.normal(size=50)
         assert np.allclose(V.scaled(lam).dist(lam * z), lam * V.dist(z),
                            rtol=1e-10, atol=1e-12)
-
-    def test_cut_angles_outside(self):
-        c = Circle(2 + 0j, 1.0)
-        intervals = c.cut_angles_outside(2.0)
-        assert intervals and len(intervals) == 1
-        a0, a1 = intervals[0]
-        th = np.linspace(a0 + 1e-6, a1 - 1e-6, 200)
-        pts = c.center + c.radius * np.exp(1j * th)
-        assert np.all(np.abs(pts) >= 2.0 - 1e-9)
-        # full / empty cases
-        assert c.cut_angles_outside(0.5) is None
-        assert c.cut_angles_outside(5.0) == []
-
-    def test_cut_angles_inside_complement(self):
-        c = Circle(2 + 0j, 1.0)
-        (a0, a1), = c.cut_angles_inside(2.0)
-        pts = c.center + c.radius * np.exp(
-            1j * np.linspace(a0 + 1e-6, a1 - 1e-6, 200))
-        assert np.all(np.abs(pts) <= 2.0 + 1e-9)
 
     def test_segment_chain_matches_segments(self):
         chain = SegmentChain([0j, 1 + 0j, 1 + 1j])
@@ -267,7 +247,3 @@ class TestLiterals:
     def test_non_finite_point_rejected(self, text):
         with pytest.raises(GeometryError):
             parse_point(text)
-
-    def test_distance_to_set_requires_finite(self):
-        with pytest.raises(GeometryError):
-            distance_to_set(INFINITY, Circle(0j, 1.0))

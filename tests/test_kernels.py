@@ -91,17 +91,18 @@ class TestBoundaryKernel:
                    - kernels.boundary_poisson_annulus(5.0, -0.4)) < 1e-14
 
     def test_asymptotic_band(self):
+        # leading term 1/(2 pi R log R), within the band 4/R^2
         for R in (4.0, 16.0, 64.0):
-            lead, band = kernels.boundary_poisson_annulus_asym(R)
+            lead = 1.0 / (2.0 * math.pi * R * math.log(R))
             exact = kernels.boundary_poisson_annulus(R, 1.0)
-            assert abs(exact - lead) <= band
+            assert abs(exact - lead) <= 4.0 / R**2
 
     def test_asymptotic_band_decay_rate(self):
-        # the attached band shrinks like R^-2: fit the decay exponent
+        # the gap to the leading term shrinks like R^-2: fit the exponent
         Rs = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
         gaps = []
         for R in Rs:
-            lead, _ = kernels.boundary_poisson_annulus_asym(R)
+            lead = 1.0 / (2.0 * math.pi * R * math.log(R))
             gaps.append(abs(kernels.boundary_poisson_annulus(R, 1.0) - lead))
         slope = np.polyfit(np.log(Rs), np.log(gaps), 1)[0]
         assert slope < -1.4
@@ -114,5 +115,3 @@ class TestBoundaryKernel:
     def test_domain_violations(self):
         with pytest.raises(kernels.DomainViolation):
             kernels.boundary_poisson_annulus(0.9, 0.0)
-        with pytest.raises(kernels.DomainViolation):
-            kernels.boundary_poisson_annulus_asym(1.5)

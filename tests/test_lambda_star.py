@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from loupe import lamstar
 from loupe.engine import Estimate
 from loupe.geometry import (INFINITY, Circle, ClosedDisk, Disk, MobiusMap,
                             Segment)
@@ -65,6 +66,19 @@ class TestCenterFamilies:
             V1, V2, INFINITY, seed=0,
             r_schedule=[math.exp(-j) for j in range(3, 15)])
         assert abs(at_inf.value - origin.value) < 0.1
+
+    def test_infinity_center_rejects_growing_tail(self, monkeypatch):
+        # the growing-disk family runs the same tail checks as the origin
+        def growing_profile(sets, limits, seed, **kwargs):
+            ests = [Estimate(math.log(math.log(R)) + 0.5 * j, 1e-6, 1, 0)
+                    for j, R in enumerate(sorted(limits))]
+            return ests, np.diag([1e-12] * len(ests))
+
+        monkeypatch.setattr(lamstar, "loop_mass_profile", growing_profile)
+        with pytest.raises(TailNotDecaying):
+            lambda_star_centered(
+                Circle(0j, 1.0), Circle(0j, 2.0), INFINITY,
+                r_schedule=[math.exp(-j) for j in range(2, 8)])
 
     def test_finite_center_translates(self):
         # translating the removal center is the same computation as

@@ -132,6 +132,10 @@ class TestDyadic:
         with pytest.raises(ShellRangeInsufficient):
             dyadic_loop_mass(V1, V2, ExteriorDisk(0j, math.exp(-5.0)),
                              range(0, 2), 0)
+        # the edges are covered, but shell 0 is missing in between
+        with pytest.raises(ShellRangeInsufficient):
+            dyadic_loop_mass(V1, V2, ExteriorDisk(0j, math.exp(-2.0)),
+                             [-1, 1], 0)
 
 
 def test_rho_exact_asymptote():

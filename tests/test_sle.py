@@ -7,7 +7,7 @@ from scipy import stats
 
 from loupe.engine import capacity_estimate
 from loupe.geometry import Annulus, ClosedDisk, Disk, PolyCurve
-from loupe.sle import (DrivingPath, HullTouchesBoundary, KappaOutOfRange,
+from loupe.sle import (HullTouchesBoundary, KappaOutOfRange,
                        SLEParams, T0_DEFAULT, _q, _q_inv, _step_forward,
                        _step_inverse, annulus_modulus, exponents, rn_density,
                        slit_length, trace_is_simple, whole_plane_ensemble,
@@ -175,13 +175,6 @@ class TestTraceSimple:
         if bad:
             print(f"non-simple verdicts: {bad}/10")
         assert bad <= 1
-
-
-class TestDrivingPath:
-    def test_grid_validation(self):
-        DrivingPath((0.1, 0.2), (0.0, 1.0), 0)
-        with pytest.raises(ValueError):
-            DrivingPath((0.2, 0.1), (0.0, 1.0), 0)
 
 
 class TestAnnulusModulus:
