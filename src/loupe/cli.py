@@ -92,6 +92,14 @@ def _point(text: str) -> complex:
         else parse_point(text)
 
 
+def _key(text):
+    """The cache-key spelling of a geometry or point literal: whitespace
+    removed, lowercased.  The parsers ignore case and the whitespace around
+    tokens, and every literal is parsed as given before the cache is read,
+    so two literals that share a key describe the same geometry."""
+    return None if text is None else "".join(text.split()).lower()
+
+
 def _est(e: Estimate) -> dict:
     return {"value": e.value, "stderr": e.stderr, "n": e.n, "seed": e.seed}
 
@@ -146,8 +154,8 @@ def cli():
 @common_options
 def harmonic(domain, z, target, n, seed, out):
     """Harmonic measure h_D(z, V) by walk-on-spheres."""
-    config = {"command": "harmonic", "domain": domain, "z": z,
-              "target": target, "n": n, "seed": seed}
+    config = {"command": "harmonic", "domain": _key(domain), "z": _key(z),
+              "target": _key(target), "n": n, "seed": seed}
     D, V, z0 = _domain_literal(domain), _set_literal(target), _point(z)
     _emit("harmonic", config,
           lambda: {"estimate": _est(hitting_prob(D, z0, V, n, seed))},
@@ -164,8 +172,8 @@ def harmonic(domain, z, target, n, seed, out):
 @common_options
 def excursion(domain, z, target, n, eps, seed, out):
     """Excursion measure exc_D(z, V): normal derivative of harmonic measure."""
-    config = {"command": "excursion", "domain": domain, "z": z,
-              "target": target, "n": n, "eps": list(eps), "seed": seed}
+    config = {"command": "excursion", "domain": _key(domain), "z": _key(z),
+              "target": _key(target), "n": n, "eps": list(eps), "seed": seed}
     D, V, z0 = _domain_literal(domain), _set_literal(target), _point(z)
     ladder = list(eps) or None
     _emit("excursion", config,
@@ -196,8 +204,8 @@ def bubble(radius, z, domain, domain2, n, seed, out):
         return
     if not (z and domain and domain2):
         raise click.UsageError("need --r, or all of --z/--domain/--domain2")
-    config = {"command": "bubble", "z": z, "domain": domain,
-              "domain2": domain2, "n": n, "seed": seed}
+    config = {"command": "bubble", "z": _key(z), "domain": _key(domain),
+              "domain2": _key(domain2), "n": n, "seed": seed}
     D, Dt, z0 = _domain_literal(domain), _domain_literal(domain2), _point(z)
     _emit("bubble", config,
           lambda: {"estimate": _est(bubble_diff_mass(z0, D, Dt, n, seed))},
@@ -216,8 +224,9 @@ def loop_mass_cmd(sets, domain, force_mc, n_per_node, seed, out):
     """Loop-measure mass Lambda(V1, ..., Vk; D)."""
     if len(sets) < 2:
         raise click.UsageError("need at least two --set literals")
-    config = {"command": "loop-mass", "sets": list(sets), "domain": domain,
-              "force_mc": force_mc, "n_per_node": n_per_node, "seed": seed}
+    config = {"command": "loop-mass", "sets": [_key(s) for s in sets],
+              "domain": _key(domain), "force_mc": force_mc,
+              "n_per_node": n_per_node, "seed": seed}
     V = tuple(_set_literal(s) for s in sets)
     D = _domain_literal(domain)
     q = LoopMassQuery(V, D, force_mc=force_mc, n_per_node=n_per_node)
@@ -242,17 +251,19 @@ def loop_mass_cmd(sets, domain, force_mc, n_per_node, seed, out):
 def lambda_star_cmd(v1, v2, depth, center, fit_points, csv_path, svg_path,
                     seed, out):
     """Normalized loop measure Lambda*(V1, V2) by schedule extrapolation."""
-    config = {"command": "lambda-star", "v1": v1, "v2": v2, "depth": depth,
-              "center": center, "fit_points": fit_points, "seed": seed}
+    config = {"command": "lambda-star", "v1": _key(v1), "v2": _key(v2),
+              "depth": depth, "center": _key(center),
+              "fit_points": fit_points, "seed": seed}
     V1, V2 = _set_literal(v1), _set_literal(v2)
+    c0 = None if center is None else _point(center)
     schedule = [math.exp(-j) for j in range(1, depth + 1)]
 
     def compute():
-        if center is None:
+        if c0 is None:
             res = lambda_star(V1, V2, seed, r_schedule=schedule,
                               fit_points=fit_points)
         else:
-            res = lambda_star_centered(V1, V2, _point(center), seed,
+            res = lambda_star_centered(V1, V2, c0, seed,
                                        r_schedule=schedule,
                                        fit_points=fit_points)
         return {"extrapolation": _extrap(res)}
@@ -277,7 +288,8 @@ def lambda_star_cmd(v1, v2, depth, center, fit_points, csv_path, svg_path,
 @common_options
 def capacity(set_literal, n, seed, out):
     """Logarithmic capacity ccap(K) = E[log |hit point|] from far launches."""
-    config = {"command": "capacity", "set": set_literal, "n": n, "seed": seed}
+    config = {"command": "capacity", "set": _key(set_literal), "n": n,
+              "seed": seed}
     K = _set_literal(set_literal)
     _emit("capacity", config,
           lambda: {"estimate": _est(capacity_estimate(K, n, seed))},
@@ -290,7 +302,7 @@ def capacity(set_literal, n, seed, out):
 @common_options
 def conformal_radius_cmd(domain, n, seed, out):
     """Uniformizer derivative psi'(0) for a simply connected domain."""
-    config = {"command": "conformal-radius", "domain": domain, "n": n,
+    config = {"command": "conformal-radius", "domain": _key(domain), "n": n,
               "seed": seed}
     D = _domain_literal(domain)
     _emit("conformal-radius", config,
@@ -338,7 +350,7 @@ def sample(kappa, t, dt, n_trace, seed, out):
 def modulus(kappa, t, domain, n, dt, seed, out):
     """Conformal annulus modulus of D minus a sampled hull."""
     config = {"command": "sle modulus", "kappa": kappa, "t": t,
-              "domain": domain, "n": n, "dt": dt, "seed": seed}
+              "domain": _key(domain), "n": n, "dt": dt, "seed": seed}
     D = _domain_literal(domain)
 
     def compute():
@@ -367,9 +379,9 @@ def modulus(kappa, t, domain, n, dt, seed, out):
 def density(kappa, domain, w, ts, n, n_calib, n_mc, dt, csv_path, svg_path,
             seed, out):
     """Ensemble mean of the reversed-radial density against its limit."""
-    config = {"command": "sle density", "kappa": kappa, "domain": domain,
-              "w": w, "t": list(ts), "n": n, "n_calib": n_calib,
-              "n_mc": n_mc, "dt": dt, "seed": seed}
+    config = {"command": "sle density", "kappa": kappa,
+              "domain": _key(domain), "w": _key(w), "t": list(ts), "n": n,
+              "n_calib": n_calib, "n_mc": n_mc, "dt": dt, "seed": seed}
     D, wp = _domain_literal(domain), _point(w)
 
     def compute():

@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate  # noqa: F401  (bench/tracing.py patches it)
 
 from .engine import Estimate, capacity_estimate, conformal_radius
 from .geometry import (Circle, ClosedDisk, CompactSet, Disk, Domain,
                        ExteriorDisk, HullComplement, MobiusMap,
                        PolylineJordan, is_infinity, mobius_image_set)
 from .loops import LoopMassQuery, loop_mass, loop_mass_profile
+from .loops import integrate  # noqa: F401  (bench/tracing.py patches it)
 
 
 class TailNotDecaying(RuntimeError):

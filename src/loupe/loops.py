@@ -26,13 +26,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from . import engine
 from .engine import Estimate, RngStream, _circle_harmonic_sample
 from .geometry import (Circle, ClosedDisk, CompactSet, Disk, Domain,
                        DomainMinusSet, ExteriorDisk, HullComplement)
 
 TWO_PI = 2.0 * math.pi
+
+
+class _Integrate:
+    """`scipy.integrate`, imported by the first `quad` call: scipy is most of
+    the package's import time and only the exact concentric route uses it."""
+
+    @staticmethod
+    def quad(*args, **kwargs):
+        from scipy import integrate as real
+        return real.quad(*args, **kwargs)
+
+
+integrate = _Integrate()
 
 
 class QuadratureNonconvergent(RuntimeError):
@@ -118,7 +131,8 @@ def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hat, gen,
     every absorber, and of every target for the walkers that have not hit
     it yet, is evaluated once, classifies arrivals, and then gives the jump
     radius of the walkers still alive (with the targets they hit on this
-    step masked out).
+    step masked out).  Raises StepLimitExceeded past engine.STEP_CAP steps,
+    as wos_exit_batch does.
     """
     k = len(targets)
     nr = len(roots)
@@ -137,7 +151,12 @@ def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hat, gen,
     use_arc = bool(absorbers)
     ctrl = 1.5 * max([s] + [t.radial_range()[1] for t in targets]
                      + [a.radial_range()[1] for a in absorbers])
+    steps = 0
     while np.any(alive):
+        steps += 1
+        if steps > engine.STEP_CAP:
+            raise engine.StepLimitExceeded(
+                f"walk exceeded {engine.STEP_CAP} steps")
         if family == "exterior":
             # every feature sits inside |w| <= ctrl; walkers that stray far
             # re-enter through an exact harmonic-measure jump onto C_ctrl
@@ -381,9 +400,10 @@ def loop_mass_profile(sets, limits, seed: int, family: str = "exterior",
         vals[i], variances[i] = _node_mass(
             math.exp(u), n_theta, sets, removed, n_per_node, eps_hats,
             rng.child(i), family=family)
-    ests, masks = [], []
-    cvars = np.zeros(len(us))
-    for r in limits:
+    ests = []
+    # weights[j, i]: node i's trapezoid weight in limit j (0 off its grid)
+    weights = np.zeros((len(limits), len(us)))
+    for j, r in enumerate(limits):
         L = math.log(r)
         inside = us >= L - 1e-12 if exterior else us <= L + 1e-12
         uu = us[inside]
@@ -399,15 +419,15 @@ def loop_mass_profile(sets, limits, seed: int, family: str = "exterior",
         total = float(np.sum(c * vv))
         var = float(np.sum(c * c * gg))
         ests.append(Estimate(total, math.sqrt(var), n_per_node * len(uu), seed))
-        masks.append(inside)
-        cvars[np.flatnonzero(inside)[order]] = c * c * gg
-    # covariance: limits share nodes, so cov(j,k) = variance of the nodes of
-    # the limit nearer the sets
+        weights[j, np.flatnonzero(inside)[order]] = c
+    # limits share nodes: cov(j,k) = sum_i c_ji c_ki var_i, and the diagonal
+    # is each estimate's own variance
     n = len(limits)
-    cov = np.zeros((n, n))
+    cov = np.diag([e.stderr**2 for e in ests])
     for j in range(n):
-        for kk in range(j, n):
-            cov[j, kk] = cov[kk, j] = float(np.sum(cvars[masks[j]]))
+        for kk in range(j + 1, n):
+            cov[j, kk] = cov[kk, j] = float(
+                np.sum(weights[j] * weights[kk] * variances))
     return ests, cov
 
 

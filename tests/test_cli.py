@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -26,6 +29,20 @@ def cache(tmp_path, monkeypatch):
 
 HARM = ["harmonic", "--domain", "annulus(1,10)", "--z", "2",
         "--target", "circle(0,0,10)", "--n", "2000", "--seed", "1"]
+
+# run in a fresh interpreter: which modules an import loads is
+# process-wide state that this test session has already changed
+SCIPY_ON_DEMAND = f"""
+import sys
+import loupe.cli
+from loupe import lamstar, loops
+assert "scipy" not in sys.modules
+loupe.cli.cli.main({HARM!r}, standalone_mode=False)
+assert "scipy" not in sys.modules
+loops.loop_mass_circles(0.1, 10.0)
+assert "scipy" in sys.modules
+assert lamstar.integrate is loops.integrate
+"""
 
 
 class TestRecords:
@@ -162,6 +179,16 @@ class TestArtifacts:
         assert json.loads(out.read_text())["command"] == "harmonic"
         assert res.stdout == ""
 
+    def test_respaced_literals_hit_the_cache(self, runner, cache):
+        a = runner.invoke(cli, HARM, catch_exceptions=False)
+        spaced = [{"annulus(1,10)": " Annulus( 1, 10 )",
+                   "circle(0,0,10)": "circle(0, 0,\t10)"}.get(x, x)
+                  for x in HARM]
+        b = runner.invoke(cli, spaced, catch_exceptions=False)
+        assert "(cached)" not in a.stderr
+        assert "(cached)" in b.stderr
+        assert b.stdout == a.stdout
+
     def test_corrupt_cache_recomputes(self, runner, cache):
         res = runner.invoke(cli, HARM, catch_exceptions=False)
         digest = config_hash(json.loads(res.stdout)["config"])
@@ -257,6 +284,14 @@ class TestExitCodes:
                               + HARM[3:])
         assert code == 2
 
+    def test_space_inside_a_number_is_config_error(self, monkeypatch, cache):
+        # the cache key drops whitespace, but the literal is parsed as given:
+        # "1 0" is no number, even with circle(0,0,10)'s record cached
+        assert CliRunner().invoke(cli, HARM).exit_code == 0
+        target = HARM.index("--target") + 1
+        argv = HARM[:target] + ["circle(0,0,1 0)"] + HARM[target + 1:]
+        assert self._run_main(monkeypatch, argv) == 2
+
     @pytest.mark.parametrize("option,literal", [
         ("--domain", "disk(0,0,inf)"), ("--target", "circle(0,0,nan)"),
         ("--z", "nan")])
@@ -293,3 +328,12 @@ class TestExitCodes:
         main()
         out = capsys.readouterr().out
         assert json.loads(out)["command"] == "bubble"
+
+
+def test_scipy_loads_only_for_quadrature():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != records.CACHE_ENV}
+    env["PYTHONPATH"] = str(src)
+    res = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

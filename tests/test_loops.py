@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from loupe.engine import Estimate
+from loupe import engine
+from loupe.engine import Estimate, StepLimitExceeded
 from loupe.geometry import (Circle, ClosedDisk, Disk, DomainMinusSet,
                             ExteriorDisk, HullComplement)
 from loupe.loops import (LoopMassQuery, ShellRangeInsufficient, cascade_check,
@@ -85,6 +86,13 @@ class TestMonteCarloRoute:
         with pytest.raises(ValueError):
             loop_mass(LoopMassQuery((Circle(0j, 1.0),),
                                     ExteriorDisk(1 + 0j, 0.5)), 0)
+
+    def test_node_walks_obey_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "STEP_CAP", 3)
+        q = LoopMassQuery((Circle(0j, 1.0), Circle(0j, 2.0)),
+                          ExteriorDisk(0j, 0.5), force_mc=True, **FAST_KW)
+        with pytest.raises(StepLimitExceeded):
+            loop_mass(q, 0)
 
 
 class TestProfile:
