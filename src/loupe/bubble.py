@@ -93,6 +93,8 @@ def bubble_diff_mass(z, D: Domain, Dtilde: Domain, n: int, seed: int,
     Raises ArcTooCoarse when halving the density arc shifts the result by
     more than its combined noise.
     """
+    if n < 1:
+        raise ValueError(f"need at least one walker, got n = {n}")
     z = as_complex(z)
     if normal is None:
         normal = _boundary_normal(Dtilde, z)

@@ -128,14 +128,15 @@ def _circle_harmonic_sample(z: np.ndarray, c: float,
 
 
 def wos_exit_batch(features: list[CompactSet], z0: np.ndarray, eps: float,
-                   gen: np.random.Generator, unbounded: bool = False,
-                   step_cap: int = STEP_CAP) -> np.ndarray:
+                   gen: np.random.Generator,
+                   unbounded: bool = False) -> np.ndarray:
     """Vectorized walk-on-spheres: from each start point, jump on maximal
     circles avoiding every feature until within eps of one, then project to
     the nearest feature point.
 
     In unbounded domains the jump radius is capped at 10|z| so walks that
-    wander far still return (planar BM is neighborhood recurrent).
+    wander far still return (planar BM is neighborhood recurrent).  Raises
+    StepLimitExceeded past STEP_CAP steps, read at call time.
     """
     z = np.array(z0, dtype=complex)
     alive = np.ones(z.shape, dtype=bool)
@@ -170,8 +171,8 @@ def wos_exit_batch(features: list[CompactSet], z0: np.ndarray, eps: float,
             th = gen.uniform(0.0, 2.0 * np.pi, size=still.size)
             z[still] = z[still] + r * np.exp(1j * th)
         steps += 1
-        if steps > step_cap:
-            raise StepLimitExceeded(f"walk exceeded {step_cap} steps")
+        if steps > STEP_CAP:
+            raise StepLimitExceeded(f"walk exceeded {STEP_CAP} steps")
     # project survivors to the nearest feature point: one projection per
     # feature gives both the point and its distance
     p_best = features[0].nearest(z)

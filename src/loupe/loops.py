@@ -118,67 +118,81 @@ def _kernel_disk(W, z, S):
     return (S * S - np.abs(W) ** 2) / (TWO_PI * S * np.abs(W - z) ** 2)
 
 
-def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hat, gen,
+def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hats, gens,
                 family="exterior", eta=None):
-    """One ladder level of the node estimator at root radius s.
+    """Every ladder rung of the node estimator at root radius s, in one batch.
 
-    Starts n_per_root walkers at each root offset radially by eps_hat*s into
-    the domain, marks targets on first touch, and returns per-root arrays
-    (mean payoff, payoff variance) where payoff already includes the pi/eps
-    normalization of the bubble density.
+    Rung i starts n_per_root walkers at each root offset radially by
+    eps_hats[i]*s into the domain and marks targets on first touch.  Returns
+    (means, variances), each of shape (rungs, roots): the mean payoff of a
+    root's walkers and its variance over n_per_root, where the payoff already
+    includes the pi/(eps_hat s) normalization of the bubble density.
 
-    Each step makes one distance pass over the live walkers: dist_wos of
-    every absorber, and of every target for the walkers that have not hit
-    it yet, is evaluated once, classifies arrivals, and then gives the jump
-    radius of the walkers still alive (with the targets they hit on this
-    step masked out).  Raises StepLimitExceeded past engine.STEP_CAP steps,
-    as wos_exit_batch does.
+    The live walkers of all rungs are kept compacted, ordered by (rung,
+    walker).  Rung i draws only from gens[i], and in the order and sizes a
+    walk of that rung alone would: the far-field re-entry angles, then the
+    jump angles, and nothing once its walkers are done.  So each rung returns
+    bit for bit what a one-rung walk on its stream returns.
+
+    Each step takes |z| once and makes one distance pass over the live
+    walkers: dist_wos of every absorber, and of every target for the walkers
+    that have not hit it yet, is evaluated once, classifies arrivals, and
+    then gives the jump radius of the walkers still alive (with the targets
+    they hit on this step masked out).  Raises StepLimitExceeded past
+    engine.STEP_CAP steps, as wos_exit_batch does.
     """
     k = len(targets)
+    n_rungs = len(eps_hats)
     nr = len(roots)
     N = nr * n_per_root
     root_rep = np.repeat(np.asarray(roots, dtype=complex), n_per_root)
     sign = 1.0 if family == "exterior" else -1.0
-    z = root_rep * (1.0 + sign * eps_hat)
-    eps_abs = eps_hat * s
     wos_eps = 1e-6 * s
     hit = np.zeros((N, k), dtype=bool)
     for j, t in enumerate(targets):
         # a target containing the root itself is hit by every loop
         hit[:, j] = t.dist_wos(root_rep, wos_eps) <= wos_eps
-    payoff = np.zeros(N)
-    alive = np.ones(N, dtype=bool)
+    # live-walker state of all rungs, rung after rung
+    hit = np.tile(hit, (n_rungs, 1))
+    root = np.tile(root_rep, n_rungs)
+    z = np.concatenate([root_rep * (1.0 + sign * eh) for eh in eps_hats])
+    walker = np.arange(n_rungs * N)
+    rung_starts = N * np.arange(1, n_rungs)
+    payoff = np.zeros(n_rungs * N)
     use_arc = bool(absorbers)
     ctrl = 1.5 * max([s] + [t.radial_range()[1] for t in targets]
                      + [a.radial_range()[1] for a in absorbers])
     steps = 0
-    while np.any(alive):
+    while walker.size:
         steps += 1
         if steps > engine.STEP_CAP:
             raise engine.StepLimitExceeded(
                 f"walk exceeded {engine.STEP_CAP} steps")
+        az = np.abs(z)
         if family == "exterior":
             # every feature sits inside |w| <= ctrl; walkers that stray far
             # re-enter through an exact harmonic-measure jump onto C_ctrl
-            far = alive & (np.abs(z) > 2.0 * ctrl)
-            if np.any(far):
-                z[far] = _circle_harmonic_sample(z[far], ctrl, gen)
-        idx = np.flatnonzero(alive)
-        za = z[idx]
-        d_close = np.abs(np.abs(za) - s)
+            far = np.flatnonzero(az > 2.0 * ctrl)
+            if far.size:
+                cuts = np.searchsorted(walker[far], rung_starts)
+                for gen, fr in zip(gens, np.split(far, cuts)):
+                    if fr.size:
+                        z[fr] = _circle_harmonic_sample(z[fr], ctrl, gen)
+                az[far] = np.abs(z[far])
+        d_close = np.abs(az - s)
         d_tgt = []
         for j, t in enumerate(targets):
             # a target already hit no longer bounds the walk: skip its query
-            todo = ~hit[idx, j]
+            todo = ~hit[:, j]
             if todo.all():
-                dt = t.dist_wos(za, wos_eps)
+                dt = t.dist_wos(z, wos_eps)
             else:
-                dt = np.full(idx.size, np.inf)
-                dt[todo] = t.dist_wos(za[todo], wos_eps)
+                dt = np.full(z.size, np.inf)
+                dt[todo] = t.dist_wos(z[todo], wos_eps)
             d_tgt.append(dt)
-        d_abs = [a.dist_wos(za, wos_eps) for a in absorbers]
+        d_abs = [a.dist_wos(z, wos_eps) for a in absorbers]
         dmin = d_close.copy()
-        code = np.zeros(idx.size, dtype=int)  # 0 closure, 1.. targets, -1 abs
+        code = np.zeros(z.size, dtype=int)  # 0 closure, 1.. targets, -1 abs
         for j, dt in enumerate(d_tgt):
             better = dt < dmin
             dmin[better] = dt[better]
@@ -187,77 +201,85 @@ def _node_walks(s, roots, targets, absorbers, n_per_root, eps_hat, gen,
             better = da < dmin
             dmin[better] = da[better]
             code[better] = -1
-        arrived = dmin <= wos_eps
-        if np.any(arrived):
-            ia = idx[arrived]
-            ca = code[arrived]
+        ia = np.flatnonzero(dmin <= wos_eps)
+        dead = np.zeros(z.size, dtype=bool)
+        if ia.size:
+            ca = code[ia]
             # absorber or closure without full hits: payoff stays 0
-            closure = ca == 0
-            if np.any(closure):
-                ic = ia[closure]
+            ic = ia[ca == 0]
+            if ic.size:
                 done_all = hit[ic].all(axis=1) if k else np.ones(ic.size, bool)
                 if use_arc and np.any(done_all):
                     icd = ic[done_all]
-                    E = s * z[icd] / np.abs(z[icd])
-                    near = np.abs(E - root_rep[icd]) <= eta
-                    payoff[icd] = near / (2.0 * eta)
-                alive[ic] = False
+                    E = s * z[icd] / az[icd]
+                    near = np.abs(E - root[icd]) <= eta
+                    payoff[walker[icd]] = near / (2.0 * eta)
+                dead[ic] = True
             tgt = ca >= 1
             if np.any(tgt):
                 it = ia[tgt]
                 jt = ca[tgt] - 1
                 hit[it, jt] = True
+                for j, dt in enumerate(d_tgt):
+                    # a target hit on this step no longer bounds the jump
+                    dt[it[jt == j]] = np.inf
                 done = hit[it].all(axis=1)
                 if np.any(done) and not use_arc:
                     fin = it[done]
+                    zf, jf = z[fin], jt[done]
                     W = np.empty(fin.size, dtype=complex)
                     for j in range(k):
-                        mask = jt[done] == j
+                        mask = jf == j
                         if np.any(mask):
-                            W[mask] = targets[j].nearest(z[fin][mask])
+                            W[mask] = targets[j].nearest(zf[mask])
                     if family == "exterior":
-                        payoff[fin] = _kernel_exterior(W, root_rep[fin], s)
+                        payoff[walker[fin]] = _kernel_exterior(W, root[fin], s)
                     else:
-                        payoff[fin] = _kernel_disk(W, root_rep[fin], s)
-                    alive[fin] = False
-            alive[ia[ca == -1]] = False
-        keep = alive[idx]
-        if np.any(keep):
-            idx = idx[keep]
-            za = z[idx]
-            r = d_close[keep]
-            for j, dt in enumerate(d_tgt):
-                dt = dt[keep]
-                dt[hit[idx, j]] = np.inf
-                r = np.minimum(r, dt)
-            for da in d_abs:
-                r = np.minimum(r, da[keep])
-            if family == "exterior":
-                r = np.minimum(r, 10.0 * np.abs(za))
-            th = gen.uniform(0.0, TWO_PI, size=idx.size)
-            z[idx] = za + r * np.exp(1j * th)
-    payoff *= math.pi / eps_abs
-    payoff = payoff.reshape(nr, n_per_root)
-    return payoff.mean(axis=1), payoff.var(axis=1) / n_per_root
+                        payoff[walker[fin]] = _kernel_disk(W, root[fin], s)
+                    dead[fin] = True
+            dead[ia[ca == -1]] = True
+        # jump radius: every hit target's distance now reads inf
+        r = d_close
+        for dt in d_tgt:
+            r = np.minimum(r, dt)
+        for da in d_abs:
+            r = np.minimum(r, da)
+        if family == "exterior":
+            r = np.minimum(r, 10.0 * az)
+        if dead.any():
+            keep = ~dead
+            z, r, root, hit, walker = (z[keep], r[keep], root[keep],
+                                       hit[keep], walker[keep])
+        if walker.size:
+            th = np.empty(walker.size)
+            cuts = np.searchsorted(walker, rung_starts)
+            for gen, lo, hi in zip(gens, [0, *cuts], [*cuts, walker.size]):
+                if hi > lo:
+                    th[lo:hi] = gen.uniform(0.0, TWO_PI, size=hi - lo)
+            z = z + r * np.exp(1j * th)
+    payoff = payoff.reshape(n_rungs, nr, n_per_root)
+    payoff *= (math.pi / (np.asarray(eps_hats) * s))[:, None, None]
+    return payoff.mean(axis=2), payoff.var(axis=2) / n_per_root
 
 
 def _node_mass(s, n_theta, targets, absorbers, n_per_node, eps_hats, rng,
                family="exterior", eta_frac=0.05):
     """Richardson-extrapolated node value: the theta-average of the bubble
-    mass m(s e^{i theta}) over n_theta equispaced roots, with its variance."""
+    mass m(s e^{i theta}) over n_theta equispaced roots, with its variance.
+
+    One `_node_walks` batch walks every rung, rung lvl (in increasing
+    eps_hat) on stream rng.child(lvl)."""
     thetas = TWO_PI * (np.arange(n_theta) + 0.5) / n_theta
     roots = s * np.exp(1j * thetas)
     eta = eta_frac * s if absorbers else None
     n_per_root = max(n_per_node // n_theta, 8)
-    means, variances = [], []
-    for lvl, eh in enumerate(sorted(eps_hats)):
-        gen = rng.child(lvl).generator()
-        m, v = _node_walks(s, roots, targets, absorbers, n_per_root, eh, gen,
-                           family=family, eta=eta)
-        means.append(float(m.mean()))
-        variances.append(float(v.sum()) / len(roots) ** 2)
+    e = sorted(eps_hats)
+    gens = [rng.child(lvl).generator() for lvl in range(len(e))]
+    m, v = _node_walks(s, roots, targets, absorbers, n_per_root, e, gens,
+                       family=family, eta=eta)
+    means = [float(row.mean()) for row in m]
+    variances = [float(row.sum()) / len(roots) ** 2 for row in v]
     # Richardson in eps_hat (values carry A + c*eps_hat + ... bias)
-    e = np.asarray(sorted(eps_hats), dtype=float)
     if len(e) == 1:
         return means[0], variances[0]
     if len(e) == 2:
@@ -293,6 +315,9 @@ class LoopMassQuery:
         object.__setattr__(self, "sets", tuple(self.sets))
         if len(self.sets) < 1:
             raise ValueError("need at least one set")
+        if self.n_per_node < 1 or self.n_theta < 1:
+            raise ValueError(f"need n_per_node >= 1 and n_theta >= 1, got "
+                             f"{self.n_per_node} and {self.n_theta}")
 
 
 def _split_domain(D: Domain):

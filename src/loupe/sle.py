@@ -322,7 +322,11 @@ def annulus_modulus(D: Domain, K, n: int, seed: int, n_radii: int = 4,
         wos_eps = 1e-4 * r_in
     rng = RngStream(seed)
     means, varis = [], []
-    m_per = max(1, n // n_radii)
+    m_per = n // n_radii
+    if m_per < 2:
+        # one walker per radius has no sample variance to report
+        raise ValueError(f"need at least 2 walkers per radius, got n = {n} "
+                         f"over {n_radii} radii")
     for i, rho in enumerate(radii):
         gen = rng.child(i).generator()
         ang = gen.uniform(0.0, 2.0 * math.pi, size=m_per)

@@ -315,6 +315,22 @@ class TestExitCodes:
                                "--seed", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bubble", "--z", "1", "--domain", "exterior(0,0,1)", "--domain2",
+         "annulus(1,10)", "--n", "0", "--seed", "1"],
+        ["sle", "modulus", "--kappa", "2", "--t", "0.01", "--domain",
+         "disk(0,0,1)", "--n", "0", "--seed", "1"],
+        # one walker per radius would leave the stderr to a variance floor
+        ["sle", "modulus", "--kappa", "2", "--t", "0.01", "--domain",
+         "disk(0,0,1)", "--n", "7", "--seed", "1"],
+        ["loop-mass", "--set", "circle(0,0,1)", "--set", "circle(0,0,2)",
+         "--domain", "exterior(0,0,0.5)", "--force-mc", "--n-per-node", "0",
+         "--seed", "1"],
+    ], ids=["bubble", "sle-modulus", "sle-modulus-one-per-radius",
+            "loop-mass"])
+    def test_too_few_samples_is_config_error(self, monkeypatch, argv):
+        assert self._run_main(monkeypatch, argv) == 2
+
     def test_numeric_contract_error_is_exit_3(self, monkeypatch):
         def boom(*a, **k):
             raise TailNotDecaying("synthetic")

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loupe import engine
 from loupe.engine import (Estimate, ExtrapolationUnstable, RngStream,
-                          capacity_estimate, conformal_radius,
-                          excursion_estimate, hitting_prob, richardson,
-                          wos_exit_points)
+                          StepLimitExceeded, capacity_estimate,
+                          conformal_radius, excursion_estimate, hitting_prob,
+                          richardson, wos_exit_points)
 from loupe.geometry import (Annulus, Circle, ClosedDisk, Disk, ExteriorDisk,
                             Segment)
 from loupe.kernels import exc_annulus, harm_annulus
@@ -105,6 +106,11 @@ class TestWalkOnSpheres:
         a = hitting_prob(Annulus(1.0, 10.0), 2.0, Circle(0j, 10.0), 5000, 3)
         b = hitting_prob(Annulus(1.0, 10.0), 2.0, Circle(0j, 10.0), 5000, 3)
         assert a == b
+
+    def test_step_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(engine, "STEP_CAP", 3)
+        with pytest.raises(StepLimitExceeded):
+            hitting_prob(Annulus(1.0, 10.0), 2.0, Circle(0j, 10.0), 2000, 1)
 
     def test_exterior_domain_hitting(self):
         # from |z| = 2, chance of hitting C_1 before C_10 in the exterior of

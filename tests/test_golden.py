@@ -15,7 +15,9 @@ Monte Carlo Lambda* stderrs (`test_lambda_star_over_hull`,
 `test_mc_lambda_star_at_infinity`) are pinned to the profile covariance
 whose diagonal is each limit's own variance
 (`test_profile_covariance_diagonal_is_each_limits_variance`); their values
-and tables are unchanged.
+and tables are unchanged.  The one-rung, three-rung and disk-with-absorber
+node pins were computed while each rung of a node was still walked on its
+own; walking all rungs in one batch leaves them unchanged.
 """
 
 import math
@@ -175,6 +177,27 @@ def test_node_masses_with_removed_set():
     for i, (u, value, var) in enumerate(REMOVED_SET_NODES):
         assert _node_mass(math.exp(u), 8, sets, removed, 2048, (0.2, 0.1),
                           rng.child(i)) == (value, var)
+
+
+def test_node_mass_on_one_rung():
+    sets = [Circle(0.5 + 0j, 1.0), Circle(0j, 3.0)]
+    assert _node_mass(0.4, 4, sets, [], 256, (0.2,), RngStream(21)) == (
+        1.6397767312485891, 0.10798254278045907)
+
+
+def test_node_mass_on_three_rungs():
+    # three rungs extrapolate through engine.richardson
+    sets = [Circle(0.5 + 0j, 1.0), Circle(0j, 3.0)]
+    assert _node_mass(0.4, 4, sets, [], 256, (0.2, 0.1, 0.05),
+                      RngStream(22)) == (0.8895830963141853, 3.094287393309261)
+
+
+def test_disk_node_mass_with_absorber():
+    # an absorber switches the payoff to the small-arc frequency at the root
+    assert _node_mass(2.0, 4, [Circle(1.0 + 0j, 0.6)],
+                      [ClosedDisk(-1.0 + 0j, 0.3)], 512, (0.2, 0.1),
+                      RngStream(23), family="disk", eta_frac=0.25) == (
+        0.3528155812136974, 0.03966990734843673)
 
 
 def test_exact_lambda_star_at_origin():

@@ -7,9 +7,9 @@ from loupe import engine
 from loupe.engine import Estimate, StepLimitExceeded
 from loupe.geometry import (Circle, ClosedDisk, Disk, DomainMinusSet,
                             ExteriorDisk, HullComplement)
-from loupe.loops import (LoopMassQuery, ShellRangeInsufficient, cascade_check,
-                         dyadic_loop_mass, loop_mass, loop_mass_circles,
-                         loop_mass_profile, rho_exact)
+from loupe.loops import (LoopMassQuery, ShellRangeInsufficient, _node_walks,
+                         cascade_check, dyadic_loop_mass, loop_mass,
+                         loop_mass_circles, loop_mass_profile, rho_exact)
 
 FAST_KW = dict(n_per_node=512, n_theta=8)
 
@@ -93,6 +93,34 @@ class TestMonteCarloRoute:
                           ExteriorDisk(0j, 0.5), force_mc=True, **FAST_KW)
         with pytest.raises(StepLimitExceeded):
             loop_mass(q, 0)
+
+    @pytest.mark.parametrize("s,targets,absorbers,family,eta", [
+        # small targets: walkers stray past 2 ctrl and re-enter on C_ctrl
+        (0.4, [Circle(1.5 + 0j, 0.3), Circle(-1.5 + 0j, 0.3)], [],
+         "exterior", None),
+        (2.0, [Circle(1.0 + 0j, 0.6)], [ClosedDisk(-1.0 + 0j, 0.3)], "disk",
+         0.5),
+    ], ids=["exterior", "disk"])
+    def test_rungs_walk_as_if_alone(self, s, targets, absorbers, family, eta):
+        # a rung of the shared batch draws only from its own stream, so it
+        # returns bit for bit what a walk of that rung alone returns
+        roots = s * np.exp(1j * 2.0 * math.pi * (np.arange(4) + 0.5) / 4)
+        rng = engine.RngStream(9)
+        eps_hats = (0.1, 0.2)
+        gens = [rng.child(i).generator() for i in range(2)]
+        means, variances = _node_walks(s, roots, targets, absorbers, 128,
+                                       eps_hats, gens, family, eta)
+        for i, eh in enumerate(eps_hats):
+            m, v = _node_walks(s, roots, targets, absorbers, 128, (eh,),
+                               [rng.child(i).generator()], family, eta)
+            assert m[0].any()
+            assert np.array_equal(means[i], m[0])
+            assert np.array_equal(variances[i], v[0])
+
+    def test_too_few_walkers_rejected(self):
+        for kw in (dict(n_per_node=0), dict(n_theta=0)):
+            with pytest.raises(ValueError):
+                LoopMassQuery((Circle(0j, 1.0),), ExteriorDisk(0j, 0.5), **kw)
 
 
 class TestProfile:
